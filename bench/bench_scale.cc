@@ -45,14 +45,19 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/scenario/campaign.h"
+#include "src/scenario/download_scenario.h"
 #include "src/sim/random.h"
 #include "src/util/stats.h"
 
 using namespace hacksim;
 
 namespace {
+
+bool QuickMode() {
+  const char* env = std::getenv("HACKSIM_QUICK");
+  return env != nullptr && std::string(env) == "1";
+}
 
 struct Workload {
   // Row label for the table/JSON "proto" column (the goodput gate keys on
@@ -436,8 +441,11 @@ int main(int argc, char** argv) {
     repeats = 1;
   }
 
-  PrintHeader("bench_scale",
-              "dense-cell scaling (ROADMAP north star, not a paper figure)");
+  std::printf("==============================================================\n"
+              "bench_scale\n"
+              "  reproduces: dense-cell scaling (ROADMAP north star, not a "
+              "paper figure)\n"
+              "==============================================================\n");
   std::vector<int> station_counts = QuickMode()
                                         ? std::vector<int>{10, 100}
                                         : std::vector<int>{10, 100, 1000};

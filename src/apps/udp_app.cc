@@ -22,7 +22,7 @@ UdpCbrSource::UdpCbrSource(Scheduler* scheduler, Config config,
     uint64_t fit = static_cast<uint64_t>(config_.burst_window.ns()) /
                    static_cast<uint64_t>(interval_.ns());
     burst_packets_ = static_cast<uint32_t>(
-        std::min<uint64_t>(fit, config_.max_burst_packets));
+        std::min<uint64_t>(fit, kMaxBurstPackets));
   }
   period_ = interval_ * static_cast<int>(burst_packets_);
 }

@@ -26,10 +26,11 @@ class UdpCbrSource {
     // count drops by the burst factor while byte totals match the classic
     // chain at every refill boundary and at Stop() (which flushes).
     SimTime burst_window;
-    // Cap on packets released per refill (bounds the burst a single event
-    // injects into the MAC queue; the window shrinks to cap * interval).
-    uint32_t max_burst_packets = 64;
   };
+
+  // Cap on packets released per refill (bounds the burst a single event
+  // injects into the MAC queue; the window shrinks to cap * interval).
+  static constexpr uint32_t kMaxBurstPackets = 64;
 
   UdpCbrSource(Scheduler* scheduler, Config config, FiveTuple flow,
                std::function<void(Packet)> send);

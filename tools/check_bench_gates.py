@@ -1,624 +1,394 @@
 #!/usr/bin/env python3
-"""CI perf gates over the bench artifacts.
+"""CI gates over the bench artifacts, declared as one table.
 
-Three gates, all keyed to the committed Release references in the repo root:
+Every gate is an entry in GATES; one evaluator (`evaluate`) handles every
+kind:
 
-1. Scheduler microbench: the freshly measured BM_SchedulerCancelHeavy must
-   not regress more than --max-regress (default 25%) against the committed
-   BENCH_micro.json. This is the cancel-dominated MAC-timeout pattern the
-   timing wheel exists for.
-2. Dense-cell event cost: 1000-station rows in BENCH_scale.json must keep
-   events_per_ppdu below --ev-ppdu-ceiling (default 100, vs ~525 before the
-   lazy NAV/DCF re-arm work and ~250 before the coalesced NAV probes +
-   token-bucket pacing). Two per-class sub-gates pin the storms that were
-   actually killed, so a regression is attributed on sight instead of
-   hiding inside the total: per_ppdu_nav <= --nav-ppdu-ceiling (default
-   2.0 — the per-overhearer probe storm peaked at 82 on udp-hidden-rts)
-   and per_ppdu_transport <= --transport-ppdu-ceiling (default 15 — the
-   per-packet CBR chain peaked at 243 on a 10-station uplink). The
-   committed artifact is always checked; a freshly generated scale JSON is
-   checked too when it contains 1000-station rows (CI's quick mode stops
-   at 100 stations). The storm rows additionally get the per-class
-   sub-gates at the LARGEST station count each artifact carries —
-   per_ppdu_nav on udp-hidden-rts, per_ppdu_transport on udp-up/udp-rts —
-   so every quick push artifact exercises them, not just the weekly full
-   sweep.
-3. Dense-cell goodput floor: the 1000-station "udp-rts" row (saturated
-   uplink contenders protected by RTS/CTS + rate adaptation) must beat
-   BOTH 1000-station collapse baselines by at least --goodput-ratio
-   (default 2x): "udp" (~24 Mbps, the historical downlink collapse the
-   ROADMAP tracked) and "udp-up" (the same saturated uplink cell without
-   the handshake — the direct A/B whose collisions RTS/CTS removes).
-   Goodput is simulator-deterministic, so unlike the CancelHeavy gate this
-   one is machine-independent. Same committed/fresh policy as gate 2.
-   All goodput gates (3, 4, 6) evaluate the replicate mean
-   (goodput_mean_mbps / post_fault_goodput_mean_mbps) whenever the row
-   carries the --repeats statistics, falling back to the legacy
-   single-seed point value otherwise.
-4. Hidden-terminal recovery: on the two-cluster topology (geometric
-   channel: the clusters cannot carrier-sense each other and collide blind
-   at the AP), "udp-hidden-rts" goodput must clear BOTH
-   max(--hidden-ratio x the unprotected "udp-hidden" row,
-       --hidden-min-mbps)
-   at *every* station count where both rows exist. The absolute floor
-   matters because the unprotected row legitimately collapses to zero at
-   1000 stations (every frame dies blind at the AP) — a pure ratio would
-   then gate nothing. Machine-independent like gate 3; checked on the
-   committed artifact always (missing rows fail) and on a fresh scale JSON
-   whenever it carries the rows (quick mode's 10/100-station sweep
-   included, so pushes exercise this gate end-to-end).
-5. Zero-byte guard: every scale row must have delivered bytes, except the
-   rows named in ZERO_BYTE_EXEMPT where collapse IS the measured physics
-   (today only "udp-hidden": at scale every frame dies blind at the AP).
-   The exemption is an explicit allow-list cross-checked against the
-   artifact — if an exempt row is renamed, the stale entry fails the gate
-   instead of silently widening it. bench_scale itself enforces the same
-   per-row policy at generation time; this gate re-checks the committed
-   artifact so a hand-edited or stale JSON cannot slip through. The fault
-   rows (udp-churn, udp-apout) are deliberately NOT exempt: a faulted cell
-   that delivers nothing is a robustness bug, not measured physics.
-6. QoS voice-tail gate: at every station count carrying the mixed-traffic
-   row pair ("udp-mix" = saturated voice+web cell on the legacy single-DCF
-   MAC, "udp-mix-edca" = the same cell with 802.11e EDCA), the EDCA row's
-   VO p99 latency (lat_vo_p99_ms) must undercut the no-EDCA baseline's by
-   at least --vo-p99-ratio (default 2x). Both rows must also carry VO and
-   BE sample counts — a mixed row without voice samples means the traffic
-   zoo silently stopped emitting. Deterministic like gates 3/4; committed
-   artifact must carry the pair, fresh is checked whenever it does (quick
-   mode included, so every push exercises it).
-7. Post-fault recovery: at every station count carrying the fault rows,
-   "udp-churn" and "udp-apout" must report post_fault_goodput_mbps (the
-   goodput over the window after the last recovery event) of at least
-   --post-fault-ratio (default 0.5) x the matching fault-free "udp" row.
-   This is the survivability contract: after a fifth of the stations
-   churn or the AP dies and restarts, the cell must climb back to at
-   least half its fault-free rate. Committed artifact must carry the
-   rows; fresh is checked whenever it does (quick mode included).
-8. ACK-aggregation window=0 identity: at every station count carrying the
-   pair, the "tcp+hack-w0" ablation row (HackAckPolicy configured with
-   flush_window=0) must be byte-identical to the plain "tcp"/moredata row
-   once the row-identity keys (proto, wall_ms) and the ablation-only
-   detail columns are stripped — the off switch is structurally absent,
-   like edca_enabled=false. The w0 row must also report
-   hack_ack_batches == 0. The simulator is deterministic and the ablation
-   rows alias the tcp/moredata replicate seeds (Workload::seed_group), so
-   "identical" really means identical, replicate statistics included.
-   Committed artifact must carry the pair; fresh is checked whenever it
-   does (quick mode included, so every push exercises it).
-9. ACK-aggregation goodput: at every station count carrying the pair, the
-   best-window row "tcp+hack-w1ms" must deliver goodput >= the w0
-   baseline's (same replicate seeds, so this is a paired comparison —
-   batching ACKs must never cost goodput). Deterministic and machine-
-   independent; same committed/fresh policy as gate 8.
+  micro          the fresh google-benchmark entry `rows[0]` may exceed the
+                 committed one by at most `bound` (a fraction). Wall-clock
+                 across machines, so the headroom also absorbs runner
+                 variance; regenerate the reference when hardware shifts.
+  ceiling        `field` <= `bound` on each row in `rows` (empty = every
+                 row at the counts in scope).
+  ratio_floor    for each (subject, baseline) pair in `rows`:
+                 subject.field >= max(bound x baseline.base_field,
+                 min_value). The absolute floor keeps a ratio meaningful
+                 when the baseline legitimately collapses to zero.
+  ratio_ceiling  subject.field <= baseline.field / bound.
+  nonzero        `field` is nonzero on every row whose proto is not in
+                 `exempt`. On the committed artifact every exempt name must
+                 exist: a stale entry means the row was renamed and now
+                 runs unguarded.
+  identity       subject == baseline once the `strip` keys are removed.
+
+Rows are named "proto" or "proto/hack" (the "tcp" proto appears with hack
+off and with moredata). `scope` picks the station counts: "every" count in
+the artifact (a count lacking one of the gate's rows is skipped), the
+largest one ("max"), or one fixed count (an int). At a fixed count that
+the artifact carries, every named row and every read field must be
+present. Goodput fields read the replicate mean (`*_mean_mbps`) when the
+row carries one (bench_scale --repeats), else the single-seed value.
+
+Every scale gate must find something to check in the committed
+artifact; in a fresh one (CI's quick sweep stops at 100 stations) a gate
+with nothing in scope is skipped instead. `poison` is the one-row edit
+the self-test applies to prove the gate can fail: (stations, row, field,
+value); stations None edits the fresh micro artifact.
 
 Usage:
-  check_bench_gates.py --committed-micro BENCH_micro.json \
-                       --fresh-micro /tmp/out/BENCH_micro.json \
-                       --committed-scale BENCH_scale.json \
+  check_bench_gates.py --committed-micro BENCH_micro.json \\
+                       --fresh-micro /tmp/out/BENCH_micro.json \\
+                       --committed-scale BENCH_scale.json \\
                        [--fresh-scale /tmp/out/BENCH_scale.json]
 
   check_bench_gates.py --self-test
-    Exercises every gate's pass AND fail branch on synthetic artifacts
-    (no bench binaries needed); exits 0 iff all branches behave.
+    Clean synthetic artifacts must pass; each gate's poison, applied
+    alone, must fail that gate and no other; an empty committed scale
+    artifact must fail every scale gate. No bench binaries needed.
 """
 
 import argparse
+import copy
 import json
 import sys
-
-# Keys stripped before the gate-8 dict comparison: row identity (proto),
-# host-dependent timing (wall_ms) and the ablation-only detail columns the
-# w0 row carries but the plain tcp/moredata row does not.
-ABLATION_IDENTITY_STRIP = frozenset({
-    "proto", "wall_ms", "hack_compression_ratio", "hack_ack_batches",
-    "hack_acks_per_flush",
-})
-
-# Rows allowed to deliver zero bytes because collapse is the measured
-# physics, not a bug. Explicit allow-list: renaming a row leaves a stale
-# entry here that fails the gate loudly (see check below) instead of
-# silently skipping the guard for the renamed row.
-ZERO_BYTE_EXEMPT = frozenset({"udp-hidden"})
-
-# Fault rows and the fault-free baseline each must recover against.
-POST_FAULT_ROWS = {"udp-churn": "udp", "udp-apout": "udp"}
+from dataclasses import dataclass
 
 
-def cancel_heavy_ns(path):
-    with open(path) as f:
-        data = json.load(f)
-    # Prefer the mean aggregate; fall back to a plain run.
+@dataclass(frozen=True)
+class Gate:
+    name: str
+    kind: str
+    rows: tuple = ()
+    field: str = ""
+    bound: float = 0.0
+    scope: object = "every"
+    poison: tuple = ()
+    base_field: str = ""      # ratio kinds: baseline's field (default field)
+    min_value: float = 0.0    # ratio_floor: absolute floor
+    needs: tuple = ()         # extra fields every gated row must carry
+    exempt: tuple = ()        # nonzero: protos allowed to read zero
+    strip: tuple = ()         # identity: keys ignored in the comparison
+
+
+GATES = (
+    # The cancel-dominated MAC-timeout pattern the timing wheel exists for.
+    Gate("scheduler cancel-heavy", "micro", rows=("BM_SchedulerCancelHeavy",),
+         field="real_time", bound=0.25,
+         poison=(None, "BM_SchedulerCancelHeavy", "real_time", 1000.0)),
+    # Dense-cell event cost: ~525 ev/PPDU before the lazy NAV/DCF re-arm,
+    # ~250 before the coalesced NAV probes and token-bucket pacing.
+    Gate("ev/PPDU", "ceiling", field="events_per_ppdu", bound=100.0,
+         scope=1000, poison=(1000, "tcp/off", "events_per_ppdu", 500.0)),
+    # The two storms those changes killed, per event class, so a
+    # regression is attributed on sight: the per-overhearer NAV probe
+    # (peaked at 82 on udp-hidden-rts) and the per-packet CBR chain
+    # (peaked at 243 on a 10-station uplink).
+    Gate("NAV-reset probes", "ceiling", field="per_ppdu_nav", bound=2.0,
+         scope=1000, poison=(1000, "udp", "per_ppdu_nav", 50.0)),
+    Gate("transport pacing", "ceiling", field="per_ppdu_transport",
+         bound=15.0, scope=1000,
+         poison=(1000, "udp", "per_ppdu_transport", 100.0)),
+    # The storm rows again at the largest count each artifact carries, so
+    # the quick 10/100-station push sweep exercises them too. Both storms
+    # grew with station count, so the dense ceilings are conservative here.
+    Gate("NAV-reset probes, storm row", "ceiling", rows=("udp-hidden-rts",),
+         field="per_ppdu_nav", bound=2.0, scope="max",
+         poison=(100, "udp-hidden-rts", "per_ppdu_nav", 50.0)),
+    Gate("transport pacing, storm rows", "ceiling",
+         rows=("udp-up", "udp-rts"), field="per_ppdu_transport", bound=15.0,
+         scope="max", poison=(100, "udp-up", "per_ppdu_transport", 100.0)),
+    # Saturated uplink with RTS/CTS + rate adaptation must beat both
+    # 1000-station collapse baselines: the historical downlink "udp" and
+    # the same uplink cell without the handshake.
+    Gate("RTS/CTS recovery", "ratio_floor",
+         rows=(("udp-rts", "udp"), ("udp-rts", "udp-up")),
+         field="goodput_mbps", bound=2.0, scope=1000,
+         poison=(1000, "udp-rts", "goodput_mbps", 15.0)),
+    # Two-cluster hidden terminals: the unprotected row legitimately
+    # collapses to zero at scale, hence the absolute floor.
+    Gate("hidden-terminal recovery", "ratio_floor",
+         rows=(("udp-hidden-rts", "udp-hidden"),), field="goodput_mbps",
+         bound=2.0, min_value=10.0,
+         poison=(100, "udp-hidden-rts", "goodput_mbps", 5.0)),
+    # A row delivering nothing is a simulator bug surfacing as a bench
+    # number, except where collapse is the measured physics. The fault
+    # rows are deliberately not exempt.
+    Gate("zero-byte guard", "nonzero", field="bytes", exempt=("udp-hidden",),
+         poison=(1000, "udp", "bytes", 0)),
+    # EDCA must at least halve the voice p99 of the legacy-DCF mixed cell;
+    # both rows must carry VO and BE samples (else the traffic zoo
+    # silently stopped emitting).
+    Gate("QoS voice tail", "ratio_ceiling",
+         rows=(("udp-mix-edca", "udp-mix"),), field="lat_vo_p99_ms",
+         bound=2.0, needs=("lat_vo_count", "lat_be_count"),
+         poison=(100, "udp-mix-edca", "lat_vo_p99_ms", 9.0)),
+    # After churn or an AP outage the cell must climb back to half its
+    # fault-free goodput.
+    Gate("post-fault recovery", "ratio_floor",
+         rows=(("udp-churn", "udp"), ("udp-apout", "udp")),
+         field="post_fault_goodput_mbps", base_field="goodput_mbps",
+         bound=0.5, poison=(100, "udp-churn", "post_fault_goodput_mbps", 1.0)),
+    # HackAckPolicy with flush_window=0 is structurally absent: the w0 row
+    # equals the plain tcp+hack row (same replicate seeds) once row
+    # identity, host timing and the ablation-only columns are stripped...
+    Gate("window=0 identity", "identity",
+         rows=(("tcp+hack-w0", "tcp/moredata"),),
+         strip=("proto", "wall_ms", "hack_compression_ratio",
+                "hack_ack_batches", "hack_acks_per_flush"),
+         poison=(100, "tcp+hack-w0", "goodput_mbps", 19.0)),
+    # ...and never forms a batch.
+    Gate("window=0 batches", "ceiling", rows=("tcp+hack-w0",),
+         field="hack_ack_batches", bound=0,
+         poison=(100, "tcp+hack-w0", "hack_ack_batches", 3)),
+    # Batching ACKs must never cost goodput (paired seeds).
+    Gate("ACK batching goodput", "ratio_floor",
+         rows=(("tcp+hack-w1ms", "tcp+hack-w0"),), field="goodput_mbps",
+         bound=1.0, poison=(100, "tcp+hack-w1ms", "goodput_mbps", 18.0)),
+)
+
+# Replicate-mean column read in place of a single-seed field.
+MEAN_OF = {"goodput_mbps": "goodput_mean_mbps",
+           "post_fault_goodput_mbps": "post_fault_goodput_mean_mbps"}
+
+
+def value(row, field):
+    return float(row.get(MEAN_OF.get(field, field), row[field]))
+
+
+def matches(row, name):
+    proto, _, hack = name.partition("/")
+    return row["proto"] == proto and (not hack or row["hack"] == hack)
+
+
+def micro_time(data, name, field):
+    """`field` of benchmark `name`, preferring its mean/median aggregate."""
     best = None
     for b in data.get("benchmarks", []):
-        name = b.get("name", "")
-        if not name.startswith("BM_SchedulerCancelHeavy"):
+        if not b.get("name", "").startswith(name):
             continue
-        if name.endswith("_mean") or name.endswith("_median"):
-            return float(b["real_time"])
+        if b["name"].endswith(("_mean", "_median")):
+            return float(b[field])
         if best is None:
-            best = float(b["real_time"])
-    if best is None:
-        raise SystemExit(f"FAIL: no BM_SchedulerCancelHeavy entry in {path}")
+            best = float(b[field])
     return best
 
 
-def scale_rows(path):
+def scope_counts(gate, rows):
+    counts = sorted({r["stations"] for r in rows})
+    if gate.scope == "every":
+        return counts
+    if gate.scope == "max":
+        return counts[-1:]
+    return [gate.scope] if gate.scope in counts else []
+
+
+def check_count(gate, n, at_n, fixed):
+    """(verdict, text) results of `gate` on the rows `at_n` at count n."""
+    out = []
+
+    def find(name):
+        hit = next((r for r in at_n if matches(r, name)), None)
+        if hit is None and fixed:
+            out.append(("FAIL", f"{n}-station {name}: row missing"))
+        return hit
+
+    def has_fields(name, row, fields):
+        missing = [f for f in fields if f not in row]
+        if missing:
+            out.append(("FAIL", f"{n}-station {name}: missing {missing}"))
+        return not missing
+
+    if gate.kind == "ceiling":
+        named = ([(f"{r['proto']}/{r['hack']}", r) for r in at_n]
+                 if not gate.rows else [(nm, find(nm)) for nm in gate.rows])
+        for name, row in named:
+            if row is None or not has_fields(name, row, (gate.field,)):
+                continue
+            got = value(row, gate.field)
+            ok = got <= gate.bound
+            out.append(("OK" if ok else "FAIL",
+                        f"{n}-station {name}: {gate.field} {got:.2f} "
+                        f"(ceiling {gate.bound:g})"))
+    elif gate.kind == "nonzero":
+        zero = [f"{r['proto']}/{r['hack']}" for r in at_n
+                if float(r[gate.field]) == 0 and r["proto"] not in gate.exempt]
+        out.append(("FAIL" if zero else "OK",
+                    f"{n}-station: {gate.field} zero on {zero}" if zero else
+                    f"{n}-station: {gate.field} nonzero on every row "
+                    f"(exempt: {', '.join(gate.exempt)})"))
+    else:
+        base_field = gate.base_field or gate.field
+        for subject, baseline in gate.rows:
+            s, b = find(subject), find(baseline)
+            if s is None or b is None:
+                continue
+            if gate.kind == "identity":
+                strip = set(gate.strip)
+                sd = {k: v for k, v in s.items() if k not in strip}
+                bd = {k: v for k, v in b.items() if k not in strip}
+                diff = sorted(k for k in sd.keys() | bd.keys()
+                              if sd.get(k) != bd.get(k))
+                out.append(("FAIL" if diff else "OK",
+                            f"{n}-station {subject} vs {baseline}: "
+                            + (f"differs on {diff}" if diff
+                               else "identical")))
+                continue
+            if not (has_fields(subject, s, (gate.field,) + gate.needs) and
+                    has_fields(baseline, b, (base_field,) + gate.needs)):
+                continue
+            got, base = value(s, gate.field), value(b, base_field)
+            if gate.kind == "ratio_floor":
+                limit = max(base * gate.bound, gate.min_value)
+                ok, rel = got >= limit, "floor"
+            else:
+                limit = base / gate.bound
+                ok, rel = got <= limit, "ceiling"
+            out.append(("OK" if ok else "FAIL",
+                        f"{n}-station {subject} {gate.field} {got:.2f} vs "
+                        f"{baseline} {base_field} {base:.2f} ({rel} "
+                        f"{limit:.2f})"))
+    return out
+
+
+def evaluate(gate, artifacts):
+    """Yields (verdict, line) for `gate` over the loaded artifacts."""
+    if gate.kind == "micro":
+        name = gate.rows[0]
+        ref = micro_time(artifacts["committed_micro"], name, gate.field)
+        fresh = micro_time(artifacts["fresh_micro"], name, gate.field)
+        if ref is None or fresh is None:
+            yield "FAIL", f"{name}: missing from a micro artifact"
+            return
+        limit = ref * (1.0 + gate.bound)
+        yield ("OK" if fresh <= limit else "FAIL",
+               f"{name}: fresh {fresh:.0f} ns vs committed {ref:.0f} ns "
+               f"(limit {limit:.0f} ns)")
+        return
+    for label in ("committed", "fresh"):
+        rows = artifacts.get(f"{label}_scale")
+        if rows is None:
+            continue
+        results = []
+        for n in scope_counts(gate, rows):
+            at_n = [r for r in rows if r["stations"] == n]
+            results += check_count(gate, n, at_n, gate.scope != "every")
+        if label == "committed" and gate.kind == "nonzero":
+            present = {r["proto"] for r in rows}
+            results += [("FAIL", f"exempt row {e!r} not in the artifact "
+                                 "(renamed? update the exempt list)")
+                        for e in gate.exempt if e not in present]
+        if not results:
+            verdict = "FAIL" if label == "committed" else "SKIP"
+            results = [(verdict, "no rows in scope, nothing to check")]
+        for verdict, text in results:
+            yield verdict, f"{label} {text}"
+
+
+def run_gates(artifacts):
+    """Prints every gate's verdict lines; returns the failing gate names."""
+    failed = []
+    for gate in GATES:
+        for verdict, text in evaluate(gate, artifacts):
+            print(f"[{verdict}] {gate.name}: {text}")
+            if verdict == "FAIL" and gate.name not in failed:
+                failed.append(gate.name)
+    print("bench gates " + ("FAILED" if failed else "passed"))
+    return failed
+
+
+def load(path, key=None):
     with open(path) as f:
-        return json.load(f)["rows"]
-
-
-def goodput(row):
-    """Gate-facing goodput: the replicate mean when the row carries one.
-
-    bench_scale --repeats=N emits goodput_mean_mbps / goodput_ci95_mbps
-    across N seeds; gating on the mean makes the goodput gates robust to
-    single-seed luck. Single-seed artifacts (and older committed ones)
-    fall back to the legacy point value.
-    """
-    return float(row.get("goodput_mean_mbps", row["goodput_mbps"]))
-
-
-def post_fault_goodput(row):
-    """Same mean-preferring policy for the post-fault recovery window."""
-    return float(row.get("post_fault_goodput_mean_mbps",
-                         row["post_fault_goodput_mbps"]))
-
-
-def build_parser():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--committed-micro")
-    ap.add_argument("--fresh-micro")
-    ap.add_argument("--committed-scale")
-    ap.add_argument("--fresh-scale")
-    ap.add_argument("--max-regress", type=float, default=0.25)
-    ap.add_argument("--ev-ppdu-ceiling", type=float, default=100.0)
-    ap.add_argument("--nav-ppdu-ceiling", type=float, default=2.0)
-    ap.add_argument("--transport-ppdu-ceiling", type=float, default=15.0)
-    ap.add_argument("--goodput-ratio", type=float, default=2.0)
-    ap.add_argument("--hidden-ratio", type=float, default=2.0)
-    ap.add_argument("--hidden-min-mbps", type=float, default=10.0)
-    ap.add_argument("--post-fault-ratio", type=float, default=0.5)
-    ap.add_argument("--vo-p99-ratio", type=float, default=2.0)
-    ap.add_argument("--self-test", action="store_true",
-                    help="exercise every gate's pass/fail branch on "
-                         "synthetic artifacts and exit")
-    return ap
-
-
-def run_gates(args):
-    failed = False
-
-    ref = cancel_heavy_ns(args.committed_micro)
-    fresh = cancel_heavy_ns(args.fresh_micro)
-    limit = ref * (1.0 + args.max_regress)
-    verdict = "OK" if fresh <= limit else "FAIL"
-    print(f"[{verdict}] BM_SchedulerCancelHeavy: fresh {fresh:.0f} ns vs "
-          f"committed {ref:.0f} ns (limit {limit:.0f} ns)")
-    failed |= fresh > limit
-
-    for label, path in (("committed", args.committed_scale),
-                        ("fresh", args.fresh_scale)):
-        if not path:
-            continue
-        all_rows = scale_rows(path)
-
-        # Zero-byte guard: any non-exempt row delivering nothing is a
-        # simulator bug surfacing as a bench number.
-        for r in all_rows:
-            if int(r["bytes"]) == 0 and r["proto"] not in ZERO_BYTE_EXEMPT:
-                print(f"[FAIL] {label} {r['stations']}-station "
-                      f"{r['proto']}/{r['hack']}: zero bytes delivered and "
-                      "not in the zero-byte exempt-list")
-                failed = True
-        # A stale exempt entry means the row it covered was renamed and the
-        # renamed row now runs un-guarded at generation time — fail loudly.
-        if label == "committed":
-            present = {r["proto"] for r in all_rows}
-            for name in sorted(ZERO_BYTE_EXEMPT - present):
-                print(f"[FAIL] {path}: zero-byte exempt row \"{name}\" does "
-                      "not exist in the artifact (renamed? update "
-                      "ZERO_BYTE_EXEMPT)")
-                failed = True
-
-        # Post-fault recovery gate: after churn / an AP outage the cell
-        # must climb back to >= the configured fraction of its fault-free
-        # goodput, at every station count carrying the fault rows.
-        by_count = {}
-        for r in all_rows:
-            by_count.setdefault(r["stations"], {})[r["proto"]] = r
-        fault_pairs = 0
-        for n in sorted(by_count):
-            protos = by_count[n]
-            for fault_proto, base_proto in sorted(POST_FAULT_ROWS.items()):
-                if fault_proto not in protos or base_proto not in protos:
-                    continue
-                fault_pairs += 1
-                fr = protos[fault_proto]
-                if "post_fault_goodput_mbps" not in fr:
-                    print(f"[FAIL] {label} {n}-station {fault_proto}: fault "
-                          "row missing post_fault_goodput_mbps")
-                    failed = True
-                    continue
-                got = post_fault_goodput(fr)
-                base = goodput(protos[base_proto])
-                floor = base * args.post_fault_ratio
-                ok = got >= floor
-                verdict = "OK" if ok else "FAIL"
-                print(f"[{verdict}] {label} {n}-station {fault_proto} "
-                      f"post-fault goodput: {got:.1f} Mbps vs fault-free "
-                      f"{base_proto} {base:.1f} Mbps (floor {floor:.1f} = "
-                      f"{args.post_fault_ratio:.2f}x)")
-                failed |= not ok
-        if fault_pairs == 0:
-            if label == "committed":
-                print(f"[FAIL] {path}: no udp-churn / udp-apout fault rows "
-                      "— the post-fault recovery gate has nothing to check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no fault rows")
-
-        # Hidden-terminal recovery gate: udp-hidden-rts vs udp-hidden at
-        # every station count carrying both rows (quick runs stop at 100
-        # stations but still carry the pair, so this gate runs fresh on
-        # every push, unlike the 1000-station-only gates below).
-        hidden = {}
-        for r in all_rows:
-            if r["proto"] in ("udp-hidden", "udp-hidden-rts"):
-                hidden.setdefault(r["stations"], {})[r["proto"]] = r
-        pairs = {n: d for n, d in hidden.items() if len(d) == 2}
-        if not pairs:
-            if label == "committed":
-                print(f"[FAIL] {path}: no udp-hidden / udp-hidden-rts row "
-                      "pairs — the hidden-terminal gate has nothing to check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no hidden-terminal row pairs")
-        for n in sorted(pairs):
-            base = goodput(pairs[n]["udp-hidden"])
-            got = goodput(pairs[n]["udp-hidden-rts"])
-            floor = max(base * args.hidden_ratio, args.hidden_min_mbps)
-            ok = got >= floor
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {n}-station hidden-terminal: "
-                  f"udp-hidden-rts {got:.1f} Mbps vs udp-hidden {base:.1f} "
-                  f"Mbps (floor {floor:.1f} = max({args.hidden_ratio:.1f}x, "
-                  f"{args.hidden_min_mbps:.0f} Mbps))")
-            failed |= not ok
-
-        # QoS voice-tail gate: udp-mix-edca vs udp-mix at every station
-        # count carrying both rows. The mixed rows exist at every sweep
-        # size (quick included), so this gate runs fresh on every push.
-        mixed = {}
-        for r in all_rows:
-            if r["proto"] in ("udp-mix", "udp-mix-edca"):
-                mixed.setdefault(r["stations"], {})[r["proto"]] = r
-        mixed_pairs = {n: d for n, d in mixed.items() if len(d) == 2}
-        if not mixed_pairs:
-            if label == "committed":
-                print(f"[FAIL] {path}: no udp-mix / udp-mix-edca row pairs "
-                      "— the QoS voice-tail gate has nothing to check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no mixed-traffic row pairs")
-        for n in sorted(mixed_pairs):
-            pair_ok = True
-            for proto in ("udp-mix", "udp-mix-edca"):
-                row = mixed_pairs[n][proto]
-                for field in ("lat_vo_p99_ms", "lat_vo_count",
-                              "lat_be_count"):
-                    if field not in row:
-                        print(f"[FAIL] {label} {n}-station {proto}: mixed "
-                              f"row missing {field} (traffic zoo emitted "
-                              "no samples for that AC?)")
-                        failed = True
-                        pair_ok = False
-            if not pair_ok:
-                continue
-            base = float(mixed_pairs[n]["udp-mix"]["lat_vo_p99_ms"])
-            got = float(mixed_pairs[n]["udp-mix-edca"]["lat_vo_p99_ms"])
-            ceiling = base / args.vo_p99_ratio
-            ok = got <= ceiling
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {n}-station QoS voice tail: "
-                  f"udp-mix-edca VO p99 {got:.2f} ms vs udp-mix "
-                  f"{base:.2f} ms (ceiling {ceiling:.2f} = baseline / "
-                  f"{args.vo_p99_ratio:.1f})")
-            failed |= not ok
-
-        # ACK-aggregation ablation gates (8, 9). Keyed by (proto, hack)
-        # since the "tcp" proto appears with hack off AND moredata.
-        ablation = {}
-        for r in all_rows:
-            if r["proto"] == "tcp" and r["hack"] == "moredata":
-                ablation.setdefault(r["stations"], {})["base"] = r
-            elif r["proto"] == "tcp+hack-w0":
-                ablation.setdefault(r["stations"], {})["w0"] = r
-            elif r["proto"] == "tcp+hack-w1ms":
-                ablation.setdefault(r["stations"], {})["w1ms"] = r
-        id_pairs = {n: d for n, d in ablation.items()
-                    if "base" in d and "w0" in d}
-        if not id_pairs:
-            if label == "committed":
-                print(f"[FAIL] {path}: no tcp+hack-w0 / tcp(moredata) row "
-                      "pairs — the window=0 identity gate has nothing to "
-                      "check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no ACK-ablation w0 row pairs")
-        for n in sorted(id_pairs):
-            base_row = id_pairs[n]["base"]
-            w0_row = id_pairs[n]["w0"]
-            base = {k: v for k, v in base_row.items()
-                    if k not in ABLATION_IDENTITY_STRIP}
-            w0 = {k: v for k, v in w0_row.items()
-                  if k not in ABLATION_IDENTITY_STRIP}
-            diff = sorted(k for k in (base.keys() | w0.keys())
-                          if base.get(k) != w0.get(k))
-            batches = int(w0_row.get("hack_ack_batches", -1))
-            ok = not diff and batches == 0
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {n}-station window=0 identity: "
-                  f"tcp+hack-w0 vs tcp/moredata"
-                  + (f" differs on {diff}" if diff else " byte-identical"))
-            if batches != 0:
-                print(f"[FAIL] {label} {n}-station tcp+hack-w0 recorded "
-                      f"{batches} ack batches (the window=0 policy must be "
-                      "structurally absent)")
-            failed |= not ok
-        gp_pairs = {n: d for n, d in ablation.items()
-                    if "w0" in d and "w1ms" in d}
-        if not gp_pairs:
-            if label == "committed":
-                print(f"[FAIL] {path}: no tcp+hack-w0 / tcp+hack-w1ms row "
-                      "pairs — the ablation goodput gate has nothing to "
-                      "check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no ACK-ablation goodput row pairs")
-        for n in sorted(gp_pairs):
-            base = goodput(gp_pairs[n]["w0"])
-            got = goodput(gp_pairs[n]["w1ms"])
-            ok = got >= base
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {n}-station ablation goodput: "
-                  f"tcp+hack-w1ms {got:.1f} Mbps vs tcp+hack-w0 "
-                  f"{base:.1f} Mbps (floor = w0; paired seeds)")
-            failed |= not ok
-
-        # Storm-row gates at the largest station count the artifact
-        # carries. The 1000-station per-class gates below never run on a
-        # quick (10/100-station) push artifact, so without this the two
-        # event storms this script exists to pin — per-overhearer NAV
-        # probes on the hidden-terminal RTS row, per-packet CBR pacing on
-        # the uplink rows — could regrow unnoticed between weekly full
-        # sweeps. The ceilings are the same as at 1000 stations: both
-        # storms scaled with station count (probe fan-out) or inversely
-        # with per-station rate (pacing), so the dense ceilings are
-        # conservative at 10/100 stations.
-        max_n = max(r["stations"] for r in all_rows)
-        top = {r["proto"]: r for r in all_rows if r["stations"] == max_n}
-        for proto, field, ceiling, what in (
-                ("udp-hidden-rts", "per_ppdu_nav", args.nav_ppdu_ceiling,
-                 "NAV-reset probes"),
-                ("udp-up", "per_ppdu_transport",
-                 args.transport_ppdu_ceiling, "transport pacing"),
-                ("udp-rts", "per_ppdu_transport",
-                 args.transport_ppdu_ceiling, "transport pacing")):
-            if proto not in top or field not in top[proto]:
-                print(f"[FAIL] {label} {max_n}-station {proto}: storm row "
-                      f"or its {field} field missing")
-                failed = True
-                continue
-            val = float(top[proto][field])
-            ok = val <= ceiling
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {max_n}-station {proto}: "
-                  f"{val:.2f} {field} (ceiling {ceiling:.1f}, {what})")
-            failed |= not ok
-
-        rows = [r for r in all_rows if r["stations"] == 1000]
-        if label == "committed" and not rows:
-            print(f"[FAIL] {path}: no 1000-station rows in committed "
-                  "BENCH_scale.json")
-            failed = True
-            continue
-        if not rows:
-            print(f"[SKIP] {path}: no 1000-station rows (quick mode)")
-            continue
-        for r in rows:
-            ev = float(r["events_per_ppdu"])
-            ok = ev <= args.ev_ppdu_ceiling
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} 1000-station {r['proto']}/{r['hack']}: "
-                  f"{ev:.1f} ev/PPDU (ceiling {args.ev_ppdu_ceiling:.0f})")
-            failed |= not ok
-            # Per-class storm gates. Older artifacts (pre-class-split) do
-            # not carry the fields — that is a hard failure on the
-            # committed artifact, never a silent skip.
-            for field, ceiling, what in (
-                    ("per_ppdu_nav", args.nav_ppdu_ceiling,
-                     "NAV-reset probes"),
-                    ("per_ppdu_transport", args.transport_ppdu_ceiling,
-                     "transport pacing")):
-                if field not in r:
-                    print(f"[FAIL] {label} 1000-station "
-                          f"{r['proto']}/{r['hack']}: missing {field} "
-                          "(regenerate the artifact with the per-class "
-                          "event split)")
-                    failed = True
-                    continue
-                val = float(r[field])
-                ok = val <= ceiling
-                verdict = "OK" if ok else "FAIL"
-                print(f"[{verdict}] {label} 1000-station "
-                      f"{r['proto']}/{r['hack']}: {val:.2f} {field} "
-                      f"(ceiling {ceiling:.1f}, {what})")
-                failed |= not ok
-
-        # Dense-cell goodput floor: udp-rts must beat both collapse
-        # baselines (downlink "udp" and unprotected-uplink "udp-up") by
-        # the configured ratio.
-        by_proto = {r["proto"]: r for r in rows}
-        recovered = by_proto.get("udp-rts")
-        baselines = [p for p in ("udp", "udp-up") if p in by_proto]
-        if recovered is None or len(baselines) < 2:
-            print(f"[FAIL] {path}: 1000-station rows missing udp/udp-up "
-                  "(collapse baselines) and/or udp-rts (RTS/CTS recovery) "
-                  "— the dense-cell goodput gate has nothing to check")
-            failed = True
-            continue
-        got = goodput(recovered)
-        for proto in baselines:
-            base = goodput(by_proto[proto])
-            floor = base * args.goodput_ratio
-            ok = got >= floor
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} 1000-station udp-rts goodput: "
-                  f"{got:.1f} Mbps vs {proto} collapse baseline "
-                  f"{base:.1f} Mbps (floor {floor:.1f} = "
-                  f"{args.goodput_ratio:.1f}x)")
-            failed |= not ok
-
-    if failed:
-        print("bench gates FAILED")
-        return 1
-    print("bench gates passed")
-    return 0
+        data = json.load(f)
+    return data[key] if key else data
 
 
 def self_test():
-    """Exercises every gate's pass AND fail branch on synthetic artifacts.
-
-    Builds a minimal artifact pair that satisfies all nine gates (must exit
-    0 with no FAIL line), then a poisoned pair that trips every gate (must
-    exit 1 with a FAIL line per gate). No bench binaries are needed, so CI
-    runs this before spending a minute generating real artifacts.
-    """
     import contextlib
     import io
-    import os
-    import tempfile
+
+    def row(stations, proto, hack="off", **kw):
+        d = {"stations": stations, "proto": proto, "hack": hack,
+             "goodput_mbps": 10.0, "bytes": 12345, "events": 1000,
+             "ppdus": 100, "events_per_ppdu": 10.0, "per_ppdu_nav": 0.5,
+             "per_ppdu_transport": 3.0, "wall_ms": 10.0}
+        d.update(kw)
+        return d
+
+    def rows_at(n):
+        tcp_hack = row(n, "tcp", "moredata", goodput_mbps=20.0)
+        w0 = dict(tcp_hack, proto="tcp+hack-w0", wall_ms=11.0,
+                  hack_compression_ratio=11.0, hack_ack_batches=0,
+                  hack_acks_per_flush=0.0)
+        return [
+            row(n, "udp"), row(n, "tcp"), tcp_hack, row(n, "udp-up"),
+            row(n, "udp-rts", goodput_mbps=40.0),
+            row(n, "udp-hidden", goodput_mbps=0.0, bytes=0),
+            row(n, "udp-hidden-rts", goodput_mbps=12.0),
+            row(n, "udp-churn", post_fault_goodput_mbps=8.0),
+            row(n, "udp-apout", post_fault_goodput_mbps=8.0),
+            row(n, "udp-mix", lat_vo_p99_ms=10.0, lat_vo_count=100,
+                lat_be_count=100),
+            row(n, "udp-mix-edca", lat_vo_p99_ms=4.0, lat_vo_count=100,
+                lat_be_count=100),
+            w0,
+            dict(w0, proto="tcp+hack-w1ms", goodput_mbps=21.0,
+                 hack_ack_batches=50, hack_acks_per_flush=5.0),
+        ]
 
     def micro(ns):
         return {"benchmarks": [
             {"name": "BM_SchedulerCancelHeavy/1024_mean", "real_time": ns}]}
 
-    def row(proto, hack="off", **kw):
-        d = {"stations": 1000, "proto": proto, "hack": hack,
-             "goodput_mbps": 10.0, "bytes": 12345, "events": 1000,
-             "ppdus": 100, "events_per_ppdu": 10.0, "per_ppdu_other": 0.0,
-             "per_ppdu_channel": 4.0, "per_ppdu_dcf": 2.0,
-             "per_ppdu_nav": 0.5, "per_ppdu_transport": 3.0,
-             "collisions": 0, "rts": 0, "cts_timeouts": 0, "captures": 0,
-             "overlap_losses": 0, "out_of_range": 0, "wall_ms": 10.0,
-             "sim_seconds": 0.5}
-        d.update(kw)
-        return d
+    # CI's shape: a full committed sweep, a quick fresh one.
+    clean = {"committed_micro": micro(100.0), "fresh_micro": micro(100.0),
+             "committed_scale": rows_at(100) + rows_at(1000),
+             "fresh_scale": rows_at(100)}
 
-    def good_rows():
-        tcp_hack = row("tcp", "moredata", goodput_mbps=20.0)
-        w0 = dict(tcp_hack, proto="tcp+hack-w0", wall_ms=11.0,
-                  hack_compression_ratio=11.0, hack_ack_batches=0,
-                  hack_acks_per_flush=0.0)
-        w1ms = dict(w0, proto="tcp+hack-w1ms", goodput_mbps=21.0,
-                    hack_ack_batches=50, hack_acks_per_flush=5.0)
-        return [
-            row("udp"),
-            row("tcp"),
-            tcp_hack,
-            row("udp-up"),
-            row("udp-rts", goodput_mbps=40.0),
-            row("udp-hidden", goodput_mbps=0.0, bytes=0),
-            row("udp-hidden-rts", goodput_mbps=12.0),
-            row("udp-churn", post_fault_goodput_mbps=8.0),
-            row("udp-apout", post_fault_goodput_mbps=8.0),
-            row("udp-mix", lat_vo_p99_ms=10.0, lat_vo_count=100,
-                lat_be_count=100),
-            row("udp-mix-edca", lat_vo_p99_ms=4.0, lat_vo_count=100,
-                lat_be_count=100),
-            w0,
-            w1ms,
-        ]
-
-    def poison(rows):
-        bad = [dict(r) for r in rows]
-        by = {}
-        for r in bad:
-            by.setdefault(r["proto"], r)
-        by["udp"]["bytes"] = 0                       # gate 5: zero bytes
-        by["udp-churn"]["post_fault_goodput_mbps"] = 1.0   # gate 7
-        by["udp-hidden-rts"]["goodput_mbps"] = 5.0   # gate 4: under floor
-        by["udp-hidden-rts"]["per_ppdu_nav"] = 50.0  # gate 2: NAV storm
-        by["udp-rts"]["goodput_mbps"] = 15.0         # gate 3: < 2x baseline
-        by["udp-rts"]["per_ppdu_transport"] = 100.0  # gate 2: pacing storm
-        by["udp-mix-edca"]["lat_vo_p99_ms"] = 9.0    # gate 6: tail too fat
-        by["tcp"]["events_per_ppdu"] = 500.0         # gate 2: ev/ppdu
-        by["tcp+hack-w0"]["goodput_mbps"] = 19.0     # gate 8: not identical
-        by["tcp+hack-w0"]["hack_ack_batches"] = 3    # gate 8: policy leaked
-        by["tcp+hack-w1ms"]["goodput_mbps"] = 18.0   # gate 9: under w0
-        return bad
-
-    def run(tmp, tag, fresh_micro_ns, rows):
-        paths = {}
-        for name, payload in (
-                ("committed_micro", micro(100.0)),
-                ("fresh_micro", micro(fresh_micro_ns)),
-                ("scale", {"benchmark": "bench_scale", "rows": rows})):
-            p = os.path.join(tmp, f"{tag}_{name}.json")
-            with open(p, "w") as f:
-                json.dump(payload, f)
-            paths[name] = p
-        args = build_parser().parse_args([
-            "--committed-micro", paths["committed_micro"],
-            "--fresh-micro", paths["fresh_micro"],
-            "--committed-scale", paths["scale"],
-            "--fresh-scale", paths["scale"],
-        ])
+    def run(artifacts):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = run_gates(args)
-        return rc, out.getvalue()
+            failed = run_gates(artifacts)
+        return failed, out.getvalue()
 
     ok = True
-    with tempfile.TemporaryDirectory() as tmp:
-        rc, out = run(tmp, "good", 100.0, good_rows())
-        if rc != 0 or "[FAIL]" in out:
-            print("self-test FAIL: clean artifacts did not pass:")
-            print(out)
+    failed, out = run(clean)
+    if failed:
+        print(f"self-test FAIL: clean artifacts failed {failed}:\n{out}")
+        ok = False
+    for gate in GATES:
+        stations, name, field, poisoned = gate.poison
+        bad = copy.deepcopy(clean)
+        if stations is None:
+            bad["fresh_micro"]["benchmarks"][0][field] = poisoned
+        for label in ("committed_scale", "fresh_scale"):
+            for r in bad[label]:
+                if r["stations"] == stations and matches(r, name):
+                    r[field] = poisoned
+        failed, out = run(bad)
+        if failed != [gate.name]:
+            print(f"self-test FAIL: poison {gate.poison} failed {failed}, "
+                  f"expected exactly [{gate.name!r}]:\n{out}")
             ok = False
-
-        rc, out = run(tmp, "bad", 1000.0, poison(good_rows()))
-        if rc != 1:
-            print(f"self-test FAIL: poisoned artifacts returned rc={rc}")
-            print(out)
-            ok = False
-        fail_lines = [l for l in out.splitlines() if l.startswith("[FAIL]")]
-        expected = [
-            "BM_SchedulerCancelHeavy",       # gate 1
-            "ev/PPDU",                       # gate 2 (total)
-            "NAV-reset probes",              # gate 2 (per-class)
-            "transport pacing",              # gate 2 (per-class)
-            "collapse baseline",             # gate 3
-            "hidden-terminal",               # gate 4
-            "zero bytes delivered",          # gate 5
-            "QoS voice tail",                # gate 6
-            "post-fault goodput",            # gate 7
-            "window=0 identity",             # gate 8 (dict diff)
-            "structurally absent",           # gate 8 (batch counter)
-            "ablation goodput",              # gate 9
-        ]
-        for marker in expected:
-            if not any(marker in l for l in fail_lines):
-                print(f"self-test FAIL: poisoned run did not trip a [FAIL] "
-                      f"line containing {marker!r}")
-                ok = False
-
+    empty = dict(clean, committed_scale=[])
+    failed, out = run(empty)
+    expected = [g.name for g in GATES if g.kind != "micro"]
+    if sorted(failed) != sorted(expected):
+        print(f"self-test FAIL: empty committed artifact failed {failed}, "
+              f"expected {expected}:\n{out}")
+        ok = False
     print("check_bench_gates self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
 
 def main():
-    ap = build_parser()
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--committed-micro")
+    ap.add_argument("--fresh-micro")
+    ap.add_argument("--committed-scale")
+    ap.add_argument("--fresh-scale")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check every gate's pass and fail branch on "
+                         "synthetic artifacts and exit")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
@@ -626,7 +396,12 @@ def main():
         if getattr(args, name) is None:
             ap.error(f"--{name.replace('_', '-')} is required "
                      "(unless --self-test)")
-    return run_gates(args)
+    artifacts = {"committed_micro": load(args.committed_micro),
+                 "fresh_micro": load(args.fresh_micro),
+                 "committed_scale": load(args.committed_scale, "rows")}
+    if args.fresh_scale:
+        artifacts["fresh_scale"] = load(args.fresh_scale, "rows")
+    return 1 if run_gates(artifacts) else 0
 
 
 if __name__ == "__main__":

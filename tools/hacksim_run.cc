@@ -10,8 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 
+#include "src/phy80211/wifi_mode.h"
 #include "src/scenario/download_scenario.h"
 
 using namespace hacksim;
@@ -20,7 +22,7 @@ namespace {
 
 struct Flags {
   std::string standard = "n";
-  double rate = 150.0;
+  double rate = 0.0;  // 0: the standard's top rate
   int clients = 1;
   std::string hack = "more-data";
   // ACK-aggregation policy (HackAckPolicy): hold compressed ACKs and flush
@@ -70,7 +72,8 @@ void Usage() {
   std::fprintf(stderr,
                "usage: hacksim_run [flags]\n"
                "  --standard=a|n        PHY (default n)\n"
-               "  --rate=<mbps>         data rate (default 150; 802.11a: 54)\n"
+               "  --rate=<mbps>         data rate (default: the standard's top\n"
+               "                        rate, 802.11n 150, 802.11a 54)\n"
                "  --clients=<n>         number of stations (default 1)\n"
                "  --hack=off|more-data|opportunistic|timer|ts-echo\n"
                "  --hack-ack-window=<us>\n"
@@ -250,7 +253,14 @@ int main(int argc, char** argv) {
   ScenarioConfig config;
   config.standard = flags.standard == "a" ? WifiStandard::k80211a
                                           : WifiStandard::k80211n;
-  config.data_rate_mbps = flags.rate;
+  if (flags.rate > 0) {
+    config.data_rate_mbps = flags.rate;
+  } else {
+    std::span<const WifiMode> modes =
+        config.standard == WifiStandard::k80211a ? Modes80211a()
+                                                 : Modes80211n();
+    config.data_rate_mbps = modes.back().rate_mbps();
+  }
   config.n_clients = flags.clients;
   config.hack = VariantFromName(flags.hack);
   if (flags.hack_ack_window_us < 0) {
