@@ -47,14 +47,23 @@ std::span<const WifiMode> Modes80211a() { return kModesA; }
 std::span<const WifiMode> Modes80211n() { return kModesN; }
 std::span<const WifiMode> Modes80211nExtended() { return kModesNExt; }
 
-WifiMode ModeForRate(std::span<const WifiMode> table, double rate_mbps) {
+std::optional<WifiMode> FindModeForRate(std::span<const WifiMode> table,
+                                        double rate_mbps) {
   for (const WifiMode& mode : table) {
     if (mode.rate_kbps == static_cast<uint32_t>(rate_mbps * 1000 + 0.5)) {
       return mode;
     }
   }
-  LOG(Fatal) << "no such mode: " << rate_mbps << " Mbps";
-  return table[0];
+  return std::nullopt;
+}
+
+WifiMode ModeForRate(std::span<const WifiMode> table, double rate_mbps) {
+  std::optional<WifiMode> mode = FindModeForRate(table, rate_mbps);
+  if (!mode.has_value()) {
+    LOG(Fatal) << "no such mode: " << rate_mbps << " Mbps";
+    return table[0];
+  }
+  return *mode;
 }
 
 WifiMode ControlResponseMode(const WifiMode& data_mode) {

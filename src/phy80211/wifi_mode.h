@@ -14,6 +14,7 @@
 #define SRC_PHY80211_WIFI_MODE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -56,7 +57,10 @@ std::span<const WifiMode> Modes80211n();
 // set plus 300 (2SS), 450 (3SS), 600 (4SS) Mbps.
 std::span<const WifiMode> Modes80211nExtended();
 
-// Looks up the mode with the given rate within a table; CHECK-fails if absent.
+// Looks up the mode with the given rate within a table.
+std::optional<WifiMode> FindModeForRate(std::span<const WifiMode> table,
+                                        double rate_mbps);
+// Same lookup; CHECK-fails if absent.
 WifiMode ModeForRate(std::span<const WifiMode> table, double rate_mbps);
 
 // Highest mandatory basic rate (6/12/24 Mbps legacy OFDM) not exceeding

@@ -27,14 +27,19 @@ double DistanceMeters(Position a, Position b) {
 }
 
 WifiPhy::WifiPhy(Scheduler* scheduler, Random rng)
-    : scheduler_(scheduler),
-      rng_(rng),
-      loss_model_(std::make_unique<NoLossModel>()) {}
+    : scheduler_(scheduler), rng_(rng) {}
 
 void WifiPhy::AttachTo(WirelessChannel* channel) {
   CHECK(channel_ == nullptr);
-  channel_ = channel;
   channel->Attach(this);
+}
+
+void WifiPhy::set_position(Position p) {
+  position_ = p;
+  has_position_ = true;
+  if (channel_ != nullptr) {
+    channel_->InvalidateGeometry();
+  }
 }
 
 bool WifiPhy::Send(Ppdu ppdu) {
@@ -87,7 +92,7 @@ void WifiPhy::OnOwnTxEnd(const Ppdu& ppdu) {
   }
 }
 
-void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
+void WifiPhy::OnArrivalStart(uint64_t arrival_id, const Ppdu& ppdu,
                              double distance_m, double rx_power_dbm) {
   if (!radio_on_) {
     // Dead receiver: ignore the frame, but remember that its already
@@ -96,7 +101,7 @@ void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
     return;
   }
   bool capture = channel_->propagation().limits_range();
-  Arrival arrival{std::move(ppdu), end, distance_m,
+  Arrival arrival{&ppdu, distance_m,
                   /*rx_power_mw=*/capture ? DbmToMw(rx_power_dbm) : 1.0,
                   /*interference_mw=*/0.0,
                   /*corrupted=*/false};
@@ -165,22 +170,26 @@ void WifiPhy::OnArrivalEnd(uint64_t arrival_id) {
     ++stats_.captures;
   }
   // Channel-noise loss per MPDU. For A-MPDUs each subframe has its own FCS
-  // and fails independently; for single MPDUs there is just one draw.
+  // and fails independently; for single MPDUs there is just one draw. With
+  // no loss model every MPDU survives and nothing is drawn.
   const Ppdu& ppdu = *arrival.ppdu;
-  std::vector<bool> mpdu_ok(ppdu.mpdus.size());
-  bool any_ok = false;
-  for (size_t i = 0; i < ppdu.mpdus.size(); ++i) {
-    size_t bytes = ppdu.mpdus[i].SizeBytes();
-    bool corrupt = loss_model_->ShouldCorrupt(ppdu.mode, bytes,
-                                              arrival.distance_m, rng_);
-    mpdu_ok[i] = !corrupt;
-    any_ok = any_ok || !corrupt;
+  size_t n = ppdu.mpdus.size();
+  mpdu_ok_.assign(n, true);
+  bool any_ok = n > 0;
+  if (loss_model_ != nullptr) {
+    any_ok = false;
+    for (size_t i = 0; i < n; ++i) {
+      bool corrupt = loss_model_->ShouldCorrupt(
+          ppdu.mode, ppdu.mpdus[i].SizeBytes(), arrival.distance_m, rng_);
+      mpdu_ok_[i] = !corrupt;
+      any_ok = any_ok || !corrupt;
+    }
   }
   if (!any_ok) {
     listener_->OnRxCorrupted();
     return;
   }
-  listener_->OnPpduReceived(ppdu, mpdu_ok);
+  listener_->OnPpduReceived(ppdu, mpdu_ok_);
 }
 
 void WifiPhy::UpdateCca() {
@@ -200,13 +209,18 @@ void WifiPhy::UpdateCca() {
 }
 
 void WirelessChannel::Attach(WifiPhy* phy) {
-  CHECK(std::find(phys_.begin(), phys_.end(), phy) == phys_.end())
+  CHECK(phy->channel_ != this)
       << "PHY attached twice: every PPDU would be delivered to it twice";
+  CHECK(phy->channel_ == nullptr) << "PHY already attached to another channel";
   CHECK(!propagation_->limits_range() || phy->has_position())
       << "range-limited propagation needs an explicit position on every "
          "PHY: an unpositioned node would silently co-locate with the "
          "origin (set_position before Attach, or keep the fixed-loss model)";
+  phy->channel_ = this;
+  phy->attach_index_ = static_cast<uint32_t>(phys_.size());
   phys_.push_back(phy);
+  schedules_.emplace_back();
+  InvalidateGeometry();
 }
 
 void WirelessChannel::set_propagation(std::unique_ptr<PropagationModel> model) {
@@ -220,6 +234,7 @@ void WirelessChannel::set_propagation(std::unique_ptr<PropagationModel> model) {
     }
   }
   propagation_ = std::move(model);
+  InvalidateGeometry();
 }
 
 void WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
@@ -278,8 +293,9 @@ void WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
 }
 
 // Reference semantics: two events per attached PHY, scheduled in attach
-// order. The batched path below must stay observably identical to this.
-void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
+// order, with every per-pair quantity computed afresh. The batched path
+// below must stay observably identical to this.
+void WirelessChannel::TransmitPerPhy(WifiPhy* sender, const PpduRef& ppdu,
                                      SimTime now, SimTime duration) {
   bool ranged = propagation_->limits_range();
   for (WifiPhy* phy : phys_) {
@@ -299,84 +315,167 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
     uint64_t arrival_id = next_arrival_id_++;
     scheduler_->ScheduleAt(
         now + prop,
-        [phy, arrival_id, ppdu, end = now + prop + duration, distance,
-         rx_dbm]() {
-          phy->OnArrivalStart(arrival_id, ppdu, end, distance, rx_dbm);
+        [phy, arrival_id, ppdu, distance, rx_dbm]() {
+          phy->OnArrivalStart(arrival_id, *ppdu, distance, rx_dbm);
         },
         EventClass::kChannel);
+    // The end edge owns the payload for the arrival's whole lifetime.
     scheduler_->ScheduleAt(
         now + prop + duration,
-        [phy, arrival_id]() { phy->OnArrivalEnd(arrival_id); },
+        [phy, arrival_id, ppdu]() { phy->OnArrivalEnd(arrival_id); },
         EventClass::kChannel);
   }
 }
 
-// Batched delivery: group every arrival edge (start or end) by its exact
-// nanosecond and schedule one event per group, all up-front at transmit
-// time. Three properties make this bit-identical to TransmitPerPhy:
-//   1. Edge times are computed with the same per-pair formula, so nothing
-//      moves in time.
-//   2. Within a group, edges run in attach order — the order the per-PHY
-//      events would have been popped (per-PHY scheduling assigns seqs in
-//      attach order, and a PHY's start/end never share a nanosecond because
-//      propagation delays are far shorter than frame durations).
-//   3. Groups are scheduled now, between the airtime event and the sender's
-//      tx-end event, so same-nanosecond FIFO ordering against *other* PPDUs'
-//      events (and the sender's own) is unchanged.
-void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
-                                      SimTime now, SimTime duration) {
+const WirelessChannel::ScheduleRef& WirelessChannel::ScheduleFor(
+    const WifiPhy* sender) {
+  ScheduleRef& slot = schedules_[sender->attach_index_];
+  if (slot == nullptr || slot->epoch != geometry_epoch_) {
+    slot = BuildSchedule(sender);
+  }
+  return slot;
+}
+
+// The per-pair work TransmitPerPhy does on every PPDU, done once: the same
+// distance, power and pruning formulas, then a stable sort by delay over
+// the attach-ordered receivers, which is the (delay, attach index) order.
+WirelessChannel::ScheduleRef WirelessChannel::BuildSchedule(
+    const WifiPhy* sender) const {
+  auto schedule = std::make_shared<ArrivalSchedule>();
+  schedule->epoch = geometry_epoch_;
   bool ranged = propagation_->limits_range();
-  std::vector<DeliveryEdge> edges;
-  edges.reserve(2 * phys_.size());
-  for (size_t idx = 0; idx < phys_.size(); ++idx) {
-    WifiPhy* phy = phys_[idx];
+  struct Pending {
+    SimTime delay;
+    ArrivalSchedule::Receiver receiver;
+    double rx_dbm;
+  };
+  std::vector<Pending> pending;
+  pending.reserve(phys_.size());
+  for (WifiPhy* phy : phys_) {
     if (phy == sender) {
       continue;
     }
     double distance = DistanceMeters(sender->position(), phy->position());
     double rx_dbm = ranged ? propagation_->RxPowerDbm(distance) : 0.0;
     if (ranged && !propagation_->Detectable(rx_dbm)) {
-      // Same pruning rule as TransmitPerPhy (the equivalence tests cover
-      // the ranged paths too): the receiver sees nothing.
-      ++airtime_.out_of_range;
+      ++schedule->out_of_range;
       continue;
     }
-    SimTime prop = PropagationDelay(distance);
-    SimTime start = now + prop;
-    SimTime end = start + duration;
-    uint64_t arrival_id = next_arrival_id_++;
-    edges.push_back(DeliveryEdge{start, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/true});
-    edges.push_back(DeliveryEdge{end, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/false});
+    pending.push_back(Pending{PropagationDelay(distance), {phy, distance},
+                              rx_dbm});
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const DeliveryEdge& a, const DeliveryEdge& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
-              }
-              return a.attach_idx < b.attach_idx;
-            });
-  for (size_t lo = 0; lo < edges.size();) {
-    size_t hi = lo + 1;
-    while (hi < edges.size() && edges[hi].at == edges[lo].at) {
-      ++hi;
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.delay < b.delay;
+                   });
+  schedule->receivers.reserve(pending.size());
+  if (ranged) {
+    schedule->rx_power_dbm.reserve(pending.size());
+  }
+  for (size_t i = 0; i < pending.size(); ++i) {
+    schedule->receivers.push_back(pending[i].receiver);
+    if (ranged) {
+      schedule->rx_power_dbm.push_back(pending[i].rx_dbm);
     }
-    std::vector<DeliveryEdge> group(edges.begin() + lo, edges.begin() + hi);
-    scheduler_->ScheduleAt(
-        edges[lo].at,
-        [ppdu, group = std::move(group)]() {
-          for (const DeliveryEdge& e : group) {
-            if (e.is_start) {
-              e.phy->OnArrivalStart(e.arrival_id, ppdu, e.end, e.distance_m,
-                                    e.rx_power_dbm);
-            } else {
-              e.phy->OnArrivalEnd(e.arrival_id);
-            }
-          }
-        },
-        EventClass::kChannel);
-    lo = hi;
+    if (i + 1 == pending.size() || pending[i + 1].delay != pending[i].delay) {
+      schedule->groups.push_back(
+          {pending[i].delay, static_cast<uint32_t>(i + 1)});
+    }
+  }
+  return schedule;
+}
+
+void WirelessChannel::DeliverEdges(const ArrivalSchedule& schedule,
+                                   const Ppdu& ppdu, uint64_t base_id,
+                                   uint32_t start_group, uint32_t end_group) {
+  auto begin_of = [&schedule](uint32_t g) {
+    return g == 0 ? 0u : schedule.groups[g - 1].end;
+  };
+  auto start_edge = [&](uint32_t i) {
+    const ArrivalSchedule::Receiver& r = schedule.receivers[i];
+    double rx_dbm =
+        schedule.rx_power_dbm.empty() ? 0.0 : schedule.rx_power_dbm[i];
+    r.phy->OnArrivalStart(base_id + i, ppdu, r.distance_m, rx_dbm);
+  };
+  auto end_edge = [&](uint32_t i) {
+    schedule.receivers[i].phy->OnArrivalEnd(base_id + i);
+  };
+  uint32_t s = 0, s_end = 0, e = 0, e_end = 0;
+  if (start_group != kNoGroup) {
+    s = begin_of(start_group);
+    s_end = schedule.groups[start_group].end;
+  }
+  if (end_group != kNoGroup) {
+    e = begin_of(end_group);
+    e_end = schedule.groups[end_group].end;
+  }
+  // Both runs are in attach order; a shared nanosecond (a PPDU shorter
+  // than the delay spread) interleaves them the way per-PHY events would
+  // have popped.
+  while (s < s_end && e < e_end) {
+    if (schedule.receivers[s].phy->attach_index_ <
+        schedule.receivers[e].phy->attach_index_) {
+      start_edge(s++);
+    } else {
+      end_edge(e++);
+    }
+  }
+  for (; s < s_end; ++s) {
+    start_edge(s);
+  }
+  for (; e < e_end; ++e) {
+    end_edge(e);
+  }
+}
+
+// Batched delivery: one event per distinct edge nanosecond, all scheduled
+// up-front at transmit time from the sender's cached schedule. Start edges
+// of group g land at now + delay(g), end edges at now + delay(g) +
+// duration; both sequences ascend, so one merge walk schedules every edge
+// time in order. Three properties make this bit-identical to
+// TransmitPerPhy:
+//   1. Edge times use the same per-pair formula, so nothing moves in time.
+//   2. Within an event, edges run in attach order — the order the per-PHY
+//      events would have been popped (per-PHY scheduling assigns seqs in
+//      attach order).
+//   3. Events are scheduled now, between the airtime event and the
+//      sender's tx-end event, so same-nanosecond FIFO ordering against
+//      *other* PPDUs' events (and the sender's own) is unchanged.
+// Arrival ids are base + position in the schedule; they are only ever
+// compared for equality within one PHY.
+void WirelessChannel::TransmitBatched(WifiPhy* sender, const PpduRef& ppdu,
+                                      SimTime now, SimTime duration) {
+  const ScheduleRef& schedule = ScheduleFor(sender);
+  airtime_.out_of_range += schedule->out_of_range;
+  uint64_t base_id = next_arrival_id_;
+  next_arrival_id_ += schedule->receivers.size();
+  auto schedule_edges = [&](SimTime at, uint32_t start_group,
+                            uint32_t end_group) {
+    auto deliver = [schedule, ppdu, base_id, start_group, end_group]() {
+      DeliverEdges(*schedule, *ppdu, base_id, start_group, end_group);
+    };
+    static_assert(sizeof(deliver) <= EventFn::kInlineBytes,
+                  "edge closures must fit EventFn's inline buffer");
+    scheduler_->ScheduleAt(at, std::move(deliver), EventClass::kChannel);
+  };
+  const auto& groups = schedule->groups;
+  const auto n = static_cast<uint32_t>(groups.size());
+  uint32_t s = 0;
+  uint32_t e = 0;
+  while (e < n) {
+    SimTime end_at = now + groups[e].delay + duration;
+    if (s < n) {
+      SimTime start_at = now + groups[s].delay;
+      if (start_at < end_at) {
+        schedule_edges(start_at, s++, kNoGroup);
+        continue;
+      }
+      if (start_at == end_at) {
+        schedule_edges(start_at, s++, e++);
+        continue;
+      }
+    }
+    schedule_edges(end_at, kNoGroup, e++);
   }
 }
 

@@ -3,8 +3,8 @@
 //
 // Reception model: a PPDU decodes iff (a) the receiver was not transmitting
 // at any point during it, (b) it survives the overlap rule, and (c) each
-// MPDU survives the configured channel-noise loss model. The overlap rule
-// depends on the channel's PropagationModel:
+// MPDU survives the configured channel-noise loss model (none by default).
+// The overlap rule depends on the channel's PropagationModel:
 //   * fixed-loss (legacy default): any overlap corrupts *both* frames — no
 //     capture. This is what produces the TCP-ACK-vs-data collisions the
 //     paper measures in Table 1, and it is bit-identical to the historical
@@ -23,10 +23,21 @@
 // the same nanosecond into one scheduler event (ChannelDeliveryMode::
 // kBatched, the default), so per-PPDU event count is bounded by the number
 // of distinct propagation delays — the cell's diameter in light-ns — rather
-// than by the attached-PHY count. Arrival times, callback order, and
-// corruption semantics are bit-identical to the historical one-event-per-PHY
-// scheduling, which remains available (kPerPhyEvent) as the reference
-// semantics for the equivalence tests.
+// than by the attached-PHY count. The per-pair work behind those events
+// (distance, receive power, range pruning, the (delay, attach order) sort)
+// is done once per sender and geometry: each sender's ArrivalSchedule is
+// built on its first transmit and reused until an Attach, set_position or
+// set_propagation advances the channel's geometry epoch. Arrival times,
+// callback order, and corruption semantics are bit-identical to the
+// historical one-event-per-PHY scheduling, which remains available
+// (kPerPhyEvent) as the reference semantics for the equivalence tests.
+//
+// Payload lifetime: an in-flight arrival holds a raw `const Ppdu*`. The
+// event that delivers the arrival's end edge owns a PpduRef to the same
+// payload, so the payload lives for as long as the arrival exists (a
+// power-down drops the arrival before the end event fires). Every channel
+// delivery path must keep that invariant: an end-edge closure captures the
+// PpduRef, never just the arrival id.
 #ifndef SRC_PHY80211_WIFI_PHY_H_
 #define SRC_PHY80211_WIFI_PHY_H_
 
@@ -82,13 +93,14 @@ class WifiPhy {
   WifiPhy(Scheduler* scheduler, Random rng);
 
   void set_listener(WifiPhyListener* listener) { listener_ = listener; }
+  // Channel noise per MPDU; nullptr (the default) is a noise-free channel
+  // and skips the per-MPDU loop entirely.
   void set_loss_model(std::unique_ptr<LossModel> model) {
     loss_model_ = std::move(model);
   }
-  void set_position(Position p) {
-    position_ = p;
-    has_position_ = true;
-  }
+  // Moving an attached PHY invalidates the channel's cached arrival
+  // schedules (O(1): it advances the channel's geometry epoch).
+  void set_position(Position p);
   Position position() const { return position_; }
   // True once a position was explicitly assigned. Range-limited propagation
   // refuses PHYs still sitting at the implicit origin: a forgotten position
@@ -115,7 +127,9 @@ class WifiPhy {
 
   // --- channel-facing interface -------------------------------------------
   void AttachTo(WirelessChannel* channel);
-  void OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
+  // `ppdu` must outlive the arrival: the caller's end-edge event holds its
+  // PpduRef (see the payload-lifetime note at the top of this file).
+  void OnArrivalStart(uint64_t arrival_id, const Ppdu& ppdu,
                       double distance_m, double rx_power_dbm);
   void OnArrivalEnd(uint64_t arrival_id);
   void OnOwnTxEnd(const Ppdu& ppdu);
@@ -124,9 +138,10 @@ class WifiPhy {
   uint64_t tx_dropped_busy() const { return stats_.tx_dropped_busy; }
 
  private:
+  friend class WirelessChannel;
+
   struct Arrival {
-    PpduRef ppdu;
-    SimTime end;
+    const Ppdu* ppdu;  // owned by the pending end-edge event
     double distance_m;
     double rx_power_mw = 0.0;
     // Sum of receive powers of every other transmission that overlapped
@@ -145,6 +160,8 @@ class WifiPhy {
   std::unique_ptr<LossModel> loss_model_;
   Position position_;
   bool has_position_ = false;
+  // Index into the channel's attach order; set by WirelessChannel::Attach.
+  uint32_t attach_index_ = 0;
 
   // In-flight arrivals, insertion (= id) order. Rarely more than two deep;
   // a flat vector beats the former std::map on every touch.
@@ -152,6 +169,8 @@ class WifiPhy {
   bool transmitting_ = false;
   bool cca_busy_reported_ = false;
   bool radio_on_ = true;
+  // Per-MPDU verdicts handed to OnPpduReceived; reused across decodes.
+  std::vector<bool> mpdu_ok_;
   // End events owed for arrivals killed by a power-down (or ignored while
   // off); OnArrivalEnd swallows exactly this many unknown ids. Same scheme
   // for an aborted own transmission's tx-end event. Correctness relies on
@@ -224,23 +243,47 @@ class WirelessChannel {
   const ChannelAirtime& airtime() const { return airtime_; }
 
  private:
-  // One receiver's arrival start or end edge inside a batched delivery
-  // event. `attach_idx` preserves the historical callback order for edges
-  // sharing a nanosecond.
-  struct DeliveryEdge {
-    SimTime at;
-    size_t attach_idx;
-    WifiPhy* phy;
-    uint64_t arrival_id;
-    SimTime end;           // arrival end time (start edges only)
-    double distance_m;     // start edges only
-    double rx_power_dbm;   // start edges only
-    bool is_start;
-  };
+  friend class WifiPhy;
 
-  void TransmitBatched(WifiPhy* sender, PpduRef ppdu, SimTime now,
+  // One sender's receivers in delivery order, built from the geometry of
+  // one epoch. Receivers are sorted by (propagation delay, attach index),
+  // which is both the edge time order and the callback order inside an
+  // edge event; `groups` cuts them into runs of equal delay. Per in-range
+  // (sender, receiver) pair it costs one Receiver (16 B), plus one double
+  // of receive power on range-limited channels.
+  struct ArrivalSchedule {
+    struct Receiver {
+      WifiPhy* phy;
+      double distance_m;
+    };
+    struct Group {
+      SimTime delay;
+      uint32_t end;  // receivers [previous group's end, end)
+    };
+    uint64_t epoch = 0;
+    std::vector<Receiver> receivers;
+    std::vector<double> rx_power_dbm;  // parallel to receivers; ranged only
+    std::vector<Group> groups;
+    uint64_t out_of_range = 0;  // pairs pruned below energy detection
+  };
+  using ScheduleRef = std::shared_ptr<const ArrivalSchedule>;
+
+  // Any change to positions, the attached set or the propagation model
+  // makes every cached schedule stale.
+  void InvalidateGeometry() { ++geometry_epoch_; }
+  const ScheduleRef& ScheduleFor(const WifiPhy* sender);
+  ScheduleRef BuildSchedule(const WifiPhy* sender) const;
+  // Runs one batched edge event: the start edges of group `start_group`
+  // and the end edges of group `end_group` (either may be kNoGroup),
+  // interleaved by attach index when both land on the same nanosecond.
+  static void DeliverEdges(const ArrivalSchedule& schedule, const Ppdu& ppdu,
+                           uint64_t base_id, uint32_t start_group,
+                           uint32_t end_group);
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
+
+  void TransmitBatched(WifiPhy* sender, const PpduRef& ppdu, SimTime now,
                        SimTime duration);
-  void TransmitPerPhy(WifiPhy* sender, PpduRef ppdu, SimTime now,
+  void TransmitPerPhy(WifiPhy* sender, const PpduRef& ppdu, SimTime now,
                       SimTime duration);
 
   Scheduler* scheduler_;
@@ -248,6 +291,11 @@ class WirelessChannel {
   std::unique_ptr<PropagationModel> propagation_ =
       std::make_unique<FixedLossPropagation>();
   std::vector<WifiPhy*> phys_;
+  // Cached arrival schedules by sender attach index; a slot is rebuilt on
+  // the sender's next transmit once its epoch falls behind. In-flight edge
+  // events share ownership, so a rebuild never frees a schedule they use.
+  std::vector<ScheduleRef> schedules_;
+  uint64_t geometry_epoch_ = 0;
   uint64_t next_ppdu_id_ = 1;
   uint64_t next_arrival_id_ = 1;
   ChannelAirtime airtime_;

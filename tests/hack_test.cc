@@ -216,7 +216,7 @@ TEST(HackAgentTest, RetentionSurvivesLostBlockAck) {
         std::make_unique<BernoulliLossModel>(1.0, 1.0));
   });
   f.sched.ScheduleIn(SimTime::Millis(10), [&]() {
-    f.ap->phy().set_loss_model(std::make_unique<NoLossModel>());
+    f.ap->phy().set_loss_model(nullptr);
   });
   f.RunFor(SimTime::Millis(100));
   // The ACK still arrives exactly once.

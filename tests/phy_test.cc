@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -44,6 +45,14 @@ TEST(WifiModeTest, ModeTables) {
   EXPECT_EQ(Modes80211n().back().rate_mbps(), 150.0);
   EXPECT_EQ(Modes80211nExtended().back().rate_mbps(), 600.0);
   EXPECT_EQ(Modes80211nExtended().back().spatial_streams, 4);
+}
+
+TEST(WifiModeTest, FindModeForRateRejectsRatesOutsideTheTable) {
+  std::optional<WifiMode> top_n = FindModeForRate(Modes80211n(), 150);
+  ASSERT_TRUE(top_n.has_value());
+  EXPECT_EQ(top_n->rate_kbps, 150000u);
+  EXPECT_FALSE(FindModeForRate(Modes80211a(), 150).has_value());
+  EXPECT_FALSE(FindModeForRate(Modes80211n(), 54).has_value());
 }
 
 TEST(WifiModeTest, ControlResponseRates) {
@@ -474,6 +483,107 @@ TEST(WifiPhyTest, BatchedAndPerPhyDeliveryAgreeUnderCollision) {
   EXPECT_EQ(bcr, pcr);
   EXPECT_EQ(bcc, pcc);
   EXPECT_EQ(bat, pat);
+}
+
+// Every listener callback of one run as (time ns, PHY, kind), in firing
+// order: equal logs mean equal arrival times and callback order.
+using CallbackLog = std::vector<std::tuple<int64_t, int, char>>;
+
+class TraceListener : public WifiPhyListener {
+ public:
+  TraceListener(const Scheduler* sched, CallbackLog* log, int phy)
+      : sched_(sched), log_(log), phy_(phy) {}
+  void OnPpduReceived(const Ppdu&, const std::vector<bool>&) override {
+    Add('R');
+  }
+  void OnRxCorrupted() override { Add('X'); }
+  void OnTxEnd(const Ppdu&) override { Add('T'); }
+  void OnCcaBusy() override { Add('B'); }
+  void OnCcaIdle() override { Add('I'); }
+
+ private:
+  void Add(char kind) { log_->emplace_back(sched_->Now().ns(), phy_, kind); }
+  const Scheduler* sched_;
+  CallbackLog* log_;
+  int phy_;
+};
+
+// A PPDU shorter than the cell's delay spread: the near receiver's end
+// edge and the far receivers' start edges land on the same nanosecond.
+// Batched delivery runs them as one event in attach order (far, near, far)
+// and must match per-PHY delivery callback for callback.
+TEST(WifiPhyTest, PpduShorterThanDelaySpreadMatchesPerPhyDelivery) {
+  // A receiver (k + 0.5) light-ns away hears a PPDU exactly k ns later.
+  constexpr double kMetersPerNs = 0.299792458;
+  auto ack_ppdu = [](int from, int to) {
+    WifiFrame ack;
+    ack.type = WifiFrameType::kAck;
+    ack.ta = MacAddress::ForStation(static_cast<uint32_t>(from));
+    ack.ra = MacAddress::ForStation(static_cast<uint32_t>(to));
+    Ppdu ppdu;
+    ppdu.aggregated = false;
+    ppdu.mode = ModeForRate(Modes80211a(), 24);
+    ppdu.mpdus.push_back(std::move(ack));
+    return ppdu;
+  };
+  const int64_t air_ns = ack_ppdu(0, 1).Duration().ns();
+  const double near_m = 1.5 * kMetersPerNs;               // 1 ns
+  const double far_m = (1 + air_ns + 0.5) * kMetersPerNs;  // 1 ns + airtime
+
+  struct Run {
+    CallbackLog log;
+    uint64_t first_ppdu_events = 0;
+    ChannelAirtime airtime;
+  };
+  auto run = [&](ChannelDeliveryMode mode) {
+    Run r;
+    Scheduler sched;
+    WirelessChannel channel{&sched, mode};
+    const Position positions[] = {
+        {0, 0}, {far_m, 0}, {near_m, 0}, {-far_m, 0}};
+    std::vector<std::unique_ptr<WifiPhy>> phys;
+    std::vector<std::unique_ptr<TraceListener>> listeners;
+    for (int i = 0; i < 4; ++i) {
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(1 + i)));
+      listeners.push_back(
+          std::make_unique<TraceListener>(&sched, &r.log, i));
+      phys[i]->set_listener(listeners[i].get());
+      phys[i]->set_position(positions[i]);
+      phys[i]->AttachTo(&channel);
+    }
+    EXPECT_TRUE(phys[0]->Send(ack_ppdu(0, 2)));
+    sched.Run();
+    r.first_ppdu_events = sched.events_executed();
+    // A far receiver answers with data; then the sender and the near
+    // receiver transmit together and both far receivers see the overlap.
+    EXPECT_TRUE(phys[1]->Send(MakeTestPpdu(MacAddress::ForStation(1),
+                                           MacAddress::ForStation(0))));
+    sched.Run();
+    EXPECT_TRUE(phys[0]->Send(ack_ppdu(0, 1)));
+    EXPECT_TRUE(phys[2]->Send(ack_ppdu(2, 3)));
+    sched.Run();
+    r.airtime = channel.airtime();
+    return r;
+  };
+  Run batched = run(ChannelDeliveryMode::kBatched);
+  Run per_phy = run(ChannelDeliveryMode::kPerPhyEvent);
+  EXPECT_EQ(batched.log, per_phy.log);
+  EXPECT_EQ(batched.airtime, per_phy.airtime);
+  // airtime + near start + {far starts, near end} + far ends + own tx end:
+  // the shared nanosecond is one event.
+  EXPECT_EQ(batched.first_ppdu_events, 5u);
+  EXPECT_EQ(per_phy.first_ppdu_events, 2u + 2u * 3u);
+  const auto shared_ns = static_cast<int64_t>(1 + air_ns);
+  CallbackLog at_shared_ns;
+  for (const auto& entry : batched.log) {
+    if (std::get<0>(entry) == shared_ns) {
+      at_shared_ns.push_back(entry);
+    }
+  }
+  EXPECT_EQ(at_shared_ns, (CallbackLog{{shared_ns, 1, 'B'},
+                                       {shared_ns, 2, 'I'},
+                                       {shared_ns, 2, 'R'},
+                                       {shared_ns, 3, 'B'}}));
 }
 
 TEST(WifiPhyTest, AirtimeLedgerCountsCollisionOverlap) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/phy80211/loss_model.h"
@@ -178,6 +179,103 @@ TEST(HiddenTerminalTest, StrongerFrameCapturesOverWeaker) {
   EXPECT_EQ(f.lap.corrupted, 1);
   EXPECT_EQ(f.ap.stats().captures, 1u);
   EXPECT_EQ(f.ap.stats().overlap_losses, 1u);
+}
+
+// --- cached arrival schedules vs. the per-PHY oracle ---------------------------------
+
+// Every listener callback of one run as (time ns, PHY, kind), in firing
+// order: equal logs mean equal arrival times and callback order.
+using CallbackLog = std::vector<std::tuple<int64_t, int, char>>;
+
+class TraceListener : public WifiPhyListener {
+ public:
+  TraceListener(const Scheduler* sched, CallbackLog* log, int phy)
+      : sched_(sched), log_(log), phy_(phy) {}
+  void OnPpduReceived(const Ppdu&, const std::vector<bool>&) override {
+    Add('R');
+  }
+  void OnRxCorrupted() override { Add('X'); }
+  void OnTxEnd(const Ppdu&) override { Add('T'); }
+  void OnCcaBusy() override { Add('B'); }
+  void OnCcaIdle() override { Add('I'); }
+
+ private:
+  void Add(char kind) { log_->emplace_back(sched_->Now().ns(), phy_, kind); }
+  const Scheduler* sched_;
+  CallbackLog* log_;
+  int phy_;
+};
+
+// Geometry edits after traffic — a move, a new propagation model, a late
+// attach, and a move while the mover's last PPDU is still in flight — must
+// reach the next PPDUs exactly as the per-PHY path (which recomputes every
+// pair on every PPDU) sees them: equal callback logs, hence equal arrival
+// times and per-listener counts, and equal out-of-range tallies.
+TEST(ArrivalScheduleTest, GeometryEditsAfterTrafficMatchPerPhyDelivery) {
+  struct Run {
+    CallbackLog log;
+    std::vector<uint64_t> out_of_range;  // after each PPDU
+  };
+  auto run = [](ChannelDeliveryMode mode) {
+    Run r;
+    Scheduler sched;
+    WirelessChannel channel{&sched, mode};
+    std::vector<std::unique_ptr<WifiPhy>> phys;
+    std::vector<std::unique_ptr<TraceListener>> listeners;
+    auto add_phy = [&](Position p) {
+      int id = static_cast<int>(phys.size());
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(1 + id)));
+      listeners.push_back(
+          std::make_unique<TraceListener>(&sched, &r.log, id));
+      phys.back()->set_listener(listeners.back().get());
+      phys.back()->set_position(p);
+      phys.back()->AttachTo(&channel);
+    };
+    auto send = [&](int from) {
+      EXPECT_TRUE(phys[static_cast<size_t>(from)]->Send(MakeDataPpdu()));
+      sched.Run();
+      r.out_of_range.push_back(channel.airtime().out_of_range);
+    };
+    // The hidden pair: AP (0), A (1) at -20 m, B (2) at +20 m.
+    add_phy({0, 0});
+    add_phy({-20, 0});
+    add_phy({20, 0});
+    channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    send(1);
+    send(2);
+    // B moves next to A: both cached schedules are stale.
+    phys[2]->set_position({-18, 0});
+    send(1);
+    send(2);
+    // A steeper path loss shrinks the detect radius to ~13 m: the AP now
+    // hears neither station, A and B still hear each other.
+    LogDistancePropagation::Params steep;
+    steep.path_loss_exponent = 4.5;
+    channel.set_propagation(std::make_unique<LogDistancePropagation>(steep));
+    send(1);
+    // A late arrival between A and B.
+    add_phy({-19, 1});
+    send(1);
+    send(3);
+    // B moves back while its PPDU's end edges are still in flight (A's end
+    // edge lands 6 ns after B's own tx end) and sends again at once: the
+    // in-flight events keep using the schedule they were built from.
+    const int64_t air_ns = MakeDataPpdu().Duration().ns();
+    sched.ScheduleAt(sched.Now() + SimTime::Nanos(air_ns + 1), [&]() {
+      phys[2]->set_position({-15, 0});
+      EXPECT_TRUE(phys[2]->Send(MakeDataPpdu()));
+    });
+    send(2);
+    return r;
+  };
+  Run batched = run(ChannelDeliveryMode::kBatched);
+  Run per_phy = run(ChannelDeliveryMode::kPerPhyEvent);
+  EXPECT_EQ(batched.log, per_phy.log);
+  EXPECT_EQ(batched.out_of_range, per_phy.out_of_range);
+  // The edits really changed who hears whom: hidden pair, then none, then
+  // the AP out of reach of every sender (the last step sends twice).
+  EXPECT_EQ(per_phy.out_of_range,
+            (std::vector<uint64_t>{1, 2, 2, 2, 3, 4, 5, 7}));
 }
 
 // --- construction validation ---------------------------------------------------------

@@ -3,9 +3,9 @@
 // 1. Equivalence: the batched channel delivery (one scheduler event per
 //    distinct arrival nanosecond per PPDU) must produce bit-identical
 //    experiment statistics to the historical per-PHY-event scheduling for
-//    full scenarios at 1/3/10 clients — while executing fewer events. The
-//    hidden-terminal configurations run the same check over the geometric
-//    channel (range-limited decode + SINR capture).
+//    full scenarios at 1/3/10/200 clients — while executing fewer events.
+//    The hidden-terminal configurations run the same check over the
+//    geometric channel (range-limited decode + SINR capture).
 // 2. Event-count independence: at the channel layer, the number of
 //    scheduler events per PPDU must not grow with the attached-PHY count.
 // 3. A 100-station scenario smoke, so the dense-cell path is exercised by
@@ -37,7 +37,9 @@ ScenarioConfig BaseConfig(int n_clients, TransportProto proto,
   return c;
 }
 
-void ExpectModesEquivalent(ScenarioConfig config) {
+// Stores the batched run's result in `batched_out` when given.
+void ExpectModesEquivalent(ScenarioConfig config,
+                           ScenarioResult* batched_out = nullptr) {
   config.channel_delivery = ChannelDeliveryMode::kPerPhyEvent;
   ScenarioResult per_phy = RunScenario(config);
   config.channel_delivery = ChannelDeliveryMode::kBatched;
@@ -57,6 +59,9 @@ void ExpectModesEquivalent(ScenarioConfig config) {
     EXPECT_LT(batched.events_executed, per_phy.events_executed);
   } else {
     EXPECT_LE(batched.events_executed, per_phy.events_executed);
+  }
+  if (batched_out != nullptr) {
+    *batched_out = batched;
   }
 }
 
@@ -119,6 +124,32 @@ TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterUdpUpload) {
 
 TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterRtsProtected) {
   ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/500));
+}
+
+// The two shapes the benchmark's dense workloads run, at their 200
+// stations: every flow starts at once, so each sender's cached arrival
+// schedule is built under load and reused for hundreds of PPDUs.
+TEST(BatchedDeliveryEquivalenceTest, TcpHackTwoHundredClientRing) {
+  ScenarioConfig c =
+      BaseConfig(200, TransportProto::kTcp, HackVariant::kMoreData);
+  c.duration = SimTime::Millis(200);
+  c.start_stagger = SimTime();
+  ScenarioResult r;
+  ExpectModesEquivalent(c, &r);
+  EXPECT_GT(r.airtime.ppdus, 500u);
+}
+
+TEST(BatchedDeliveryEquivalenceTest, HiddenTwoHundredClientUplinkRts) {
+  ScenarioConfig c = HiddenConfig(200, /*rts_threshold=*/500);
+  c.udp_rate_bps = 2.5e9;
+  c.udp_burst_window = SimTime::Millis(16);
+  c.duration = SimTime::Millis(200);
+  c.start_stagger = SimTime();
+  ScenarioResult r;
+  ExpectModesEquivalent(c, &r);
+  EXPECT_GT(r.airtime.ppdus, 500u);
+  EXPECT_GT(r.airtime.out_of_range, 0u);
+  EXPECT_GT(r.airtime.collisions, 0u);
 }
 
 // Same contract for the coalesced NAV-reset probe: the default (zero-event

@@ -253,12 +253,22 @@ int main(int argc, char** argv) {
   ScenarioConfig config;
   config.standard = flags.standard == "a" ? WifiStandard::k80211a
                                           : WifiStandard::k80211n;
+  std::span<const WifiMode> modes =
+      config.standard == WifiStandard::k80211a ? Modes80211a()
+                                               : Modes80211n();
   if (flags.rate > 0) {
+    if (!FindModeForRate(modes, flags.rate).has_value()) {
+      std::fprintf(stderr, "--rate=%g is not an 802.11%s rate; valid rates:",
+                   flags.rate,
+                   config.standard == WifiStandard::k80211a ? "a" : "n");
+      for (const WifiMode& mode : modes) {
+        std::fprintf(stderr, " %g", mode.rate_mbps());
+      }
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
     config.data_rate_mbps = flags.rate;
   } else {
-    std::span<const WifiMode> modes =
-        config.standard == WifiStandard::k80211a ? Modes80211a()
-                                                 : Modes80211n();
     config.data_rate_mbps = modes.back().rate_mbps();
   }
   config.n_clients = flags.clients;
